@@ -21,11 +21,11 @@ def test_virtual_channels_increase_oi(benchmark, dvb):
     def sweep():
         plain = pipeline_comparison(
             setup, LOADS, invocations=INVOCATIONS, warmup=WARMUP,
-            compiler_config=COMPILER, virtual_channels=1, verify_sr=False,
+            compiler_config=COMPILER, virtual_channels=1,
         )
         strict = pipeline_comparison(
             setup, LOADS, invocations=INVOCATIONS, warmup=WARMUP,
-            compiler_config=COMPILER, virtual_channels=2, verify_sr=False,
+            compiler_config=COMPILER, virtual_channels=2,
         )
         return plain, strict
 

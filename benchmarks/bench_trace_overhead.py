@@ -7,6 +7,10 @@ kernel subclasses with the tracing branches deleted (a reconstruction of
 the pre-instrumentation hot path) and asserts the instrumented-but-null
 version costs less than 2% more wall time.
 
+The replay is driven through ``ScheduledRoutingExecutor.run_des``: an
+untraced ``run`` evaluates the replay in closed form and never builds a
+kernel, so it would time no tracing hook at all.
+
 The tolerance can be relaxed on noisy shared runners via the
 ``TRACE_OVERHEAD_TOL`` environment variable (e.g. ``0.05`` for 5%).
 """
@@ -23,6 +27,7 @@ from repro.core.compiler import compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.errors import SimulationError
 from repro.experiments import standard_setup
+from repro.results import RunConfig
 from repro.sim import Environment, Resource
 from repro.topology import binary_hypercube
 
@@ -86,7 +91,9 @@ def _sr_replay_seconds(executor, monkeypatch, bare: bool) -> float:
             patch.setattr(executor_module, "Environment", BareEnvironment)
             patch.setattr(executor_module, "Resource", BareResource)
         start = time.perf_counter()
-        result = executor.run(invocations=INVOCATIONS, warmup=WARMUP)
+        result = executor.run_des(
+            RunConfig(invocations=INVOCATIONS, warmup=WARMUP)
+        )
         elapsed = time.perf_counter() - start
     assert not result.has_oi()
     return elapsed

@@ -14,10 +14,14 @@ and cross-checked along three independent axes:
   differ).
 - **verifier differential** — for each feasible schedule, the static
   conformance analyzer (:func:`repro.check.analyzer.analyze_schedule`),
-  the crossbar replay (:func:`repro.cp.replay_schedule`) and the
+  the crossbar replay (:func:`repro.cp.replay_schedule`), the
   discrete-event replay
-  (:class:`~repro.core.executor.ScheduledRoutingExecutor`) must all
-  reach the same verdict: pass.
+  (:meth:`~repro.core.executor.ScheduledRoutingExecutor.run_des`) and
+  the closed-form replay
+  (:meth:`~repro.core.executor.ScheduledRoutingExecutor.run`, healthy
+  and untraced) must all reach the same verdict: pass.  The two replays
+  must also agree exactly: the same completion times and the same link
+  busy times, float for float and in the same key order.
 - **cache differential** — the point is compiled cold through a disk
   cache and again warm through a *fresh* cache object over the same
   directory; the served result must be byte-identical to the fresh
@@ -48,6 +52,7 @@ import json
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -59,6 +64,7 @@ from repro.core.executor import ScheduledRoutingExecutor
 from repro.cp import replay_schedule
 from repro.errors import ReproError, SchedulingError
 from repro.mapping.allocation import Allocation, random_allocation
+from repro.results import RunConfig, RunResult
 from repro.solvers import have_scipy
 from repro.tfg.analysis import TFGTiming
 from repro.tfg.synth import random_layered_tfg
@@ -79,7 +85,7 @@ _LOADS = (0.5, 0.75, 1.0)
 #: Compiler knobs kept small so a fuzz run stays CI-friendly.
 _CONFIG = dict(seed=0, max_paths=16, max_restarts=2, retries=1)
 
-#: DES replay length — warmup plus the executor's minimum measured window.
+#: Replay length — warmup plus the executor's minimum measured window.
 _INVOCATIONS = 8
 _WARMUP = 4
 
@@ -244,7 +250,7 @@ def _verify_feasible(
     routing: ScheduledRouting,
     out: list[str],
 ) -> None:
-    """Verifier differential: analyzer ≡ crossbar replay ≡ DES replay."""
+    """Verifier differential: analyzer ≡ crossbar ≡ DES ≡ closed form."""
     timing, topology, allocation, tau_in = inputs
     report = analyze_schedule(
         routing.schedule, topology, timing=timing, allocation=allocation
@@ -261,16 +267,29 @@ def _verify_feasible(
             f"seed {point.seed} [{backend}]: crossbar replay rejected a "
             f"compiled schedule: {error}"
         )
-    try:
-        executor = ScheduledRoutingExecutor(
-            routing, timing, topology, allocation
-        )
-        executor.run(invocations=_INVOCATIONS, warmup=_WARMUP)
-    except ReproError as error:
-        out.append(
-            f"seed {point.seed} [{backend}]: DES replay rejected a "
-            f"compiled schedule: {error}"
-        )
+    executor = ScheduledRoutingExecutor(routing, timing, topology, allocation)
+    config = RunConfig(invocations=_INVOCATIONS, warmup=_WARMUP)
+    replays: dict[str, RunResult] = {}
+    for label, replay in (
+        ("DES", partial(executor.run_des, config)),
+        ("closed-form", partial(executor.run, config=config)),
+    ):
+        try:
+            replays[label] = replay()
+        except ReproError as error:
+            out.append(
+                f"seed {point.seed} [{backend}]: {label} replay rejected a "
+                f"compiled schedule: {error}"
+            )
+    if len(replays) == 2:
+        des, closed = replays["DES"], replays["closed-form"]
+        if (des.completion_times, list(des.extra["link_busy"].items())) != (
+            closed.completion_times, list(closed.extra["link_busy"].items())
+        ):
+            out.append(
+                f"seed {point.seed} [{backend}]: closed-form replay differs "
+                "from the DES replay (completion times or link busy times)"
+            )
 
 
 def _check_prescreen(

@@ -121,11 +121,10 @@ def pipeline_comparison(
     warmup: int = 8,
     compiler_config: CompilerConfig | None = None,
     virtual_channels: int = 1,
-    verify_sr: bool = True,
     wr_max_recoveries: int | None = None,
 ) -> list[PipelinePoint]:
-    """Measure WR (simulated) and SR (compiled, optionally replayed) at
-    each load — the full Figs. 7-10 protocol.
+    """Measure WR (simulated) and SR (compiled and replayed) at each
+    load — the full Figs. 7-10 protocol.
 
     ``wr_max_recoveries`` forwards to the wormhole simulator's deadlock-
     recovery budget; runs that exhaust it are reported as deadlocked.
@@ -167,19 +166,12 @@ def pipeline_comparison(
             )
             sr_feasible = True
             sr_peak = routing.utilization.peak
-            if verify_sr:
-                executor = ScheduledRoutingExecutor(
-                    routing, setup.timing, setup.topology, setup.allocation
-                )
-                sr_result = executor.run(invocations=invocations, warmup=warmup)
-                sr_thr = sr_result.throughput_stats().mean
-                sr_lat = sr_result.latency_stats().mean
-            else:
-                sr_thr = 1.0
-                sr_lat = (
-                    setup.timing.asap_latency()
-                    / setup.timing.critical_path().length
-                )
+            executor = ScheduledRoutingExecutor(
+                routing, setup.timing, setup.topology, setup.allocation
+            )
+            sr_result = executor.run(invocations=invocations, warmup=warmup)
+            sr_thr = sr_result.throughput_stats().mean
+            sr_lat = sr_result.latency_stats().mean
         except SchedulingError as error:
             sr_stage = error.stage
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.core.compiler import compile_schedule
 from repro.experiments import standard_setup
 from repro.mapping import sequential_allocation
 from repro.tfg import TFGTiming, dvb_tfg
@@ -100,6 +101,16 @@ def fan4_tfg():
 def tiny_timing(tiny_tfg):
     """Chain timing: all tasks 10us, messages 10us at B=128."""
     return TFGTiming(tiny_tfg, bandwidth=128.0, speeds=40.0)
+
+
+@pytest.fixture()
+def chain_routing(cube3):
+    """A compiled 4-task chain on the 3-cube at tau_in=40: one 10us slot
+    per message, all times exact in binary floating point."""
+    timing = TFGTiming(chain_tfg(4, 400, 1280), 128.0, speeds=40.0)
+    allocation = {"t0": 0, "t1": 1, "t2": 3, "t3": 7}
+    routing = compile_schedule(timing, cube3, allocation, tau_in=40.0)
+    return routing, timing, cube3, allocation
 
 
 @pytest.fixture(scope="session")

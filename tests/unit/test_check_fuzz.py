@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
+
+import pytest
 
 from repro.check import FuzzPoint, run_fuzz
 from repro.check.fuzz import (
@@ -11,6 +14,8 @@ from repro.check.fuzz import (
     shrink_point,
     write_reproducer,
 )
+from repro.core.compiler import CompilerConfig, compile_schedule
+from repro.core.executor import ScheduledRoutingExecutor
 
 
 class TestFuzzPoint:
@@ -115,6 +120,49 @@ class TestDeltaDifferential:
                 point, "reference", point.build(), tmp_path, disagreements
             )
             assert disagreements == []
+
+
+class TestVerifierDifferential:
+    """The closed-form replay must match the DES float for float."""
+
+    @staticmethod
+    def verify(point):
+        from repro.check.fuzz import _CONFIG, _verify_feasible
+
+        inputs = point.build()
+        routing = compile_schedule(*inputs, CompilerConfig(**_CONFIG))
+        disagreements: list[str] = []
+        _verify_feasible(point, "auto", inputs, routing, disagreements)
+        return disagreements
+
+    def test_replays_agree(self):
+        assert self.verify(FuzzPoint.from_seed(0)) == []
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # one completion time off by one ulp
+            lambda times, busy: (
+                (math.nextafter(times[0], math.inf),) + times[1:], busy
+            ),
+            # the same link busy times in another key order
+            lambda times, busy: (times, dict(reversed(busy.items()))),
+        ],
+        ids=["completion-ulp", "link-order"],
+    )
+    def test_closed_form_divergence_is_reported(self, monkeypatch, mutate):
+        closed_form = ScheduledRoutingExecutor._closed_form
+
+        def diverging(self, table):
+            return mutate(*closed_form(self, table))
+
+        monkeypatch.setattr(
+            ScheduledRoutingExecutor, "_closed_form", diverging
+        )
+        assert any(
+            "closed-form replay differs from the DES replay" in line
+            for line in self.verify(FuzzPoint.from_seed(0))
+        )
 
 
 class TestReproducers:

@@ -1,21 +1,10 @@
-"""Unit tests for the scheduled-routing executor (DES replay)."""
+"""Unit tests for the scheduled-routing executor."""
 
 import pytest
 
-from repro.core.compiler import compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.core.switching import TransmissionSlot
 from repro.errors import ScheduleValidationError
-from repro.tfg import TFGTiming
-from repro.tfg.synth import chain_tfg
-
-
-@pytest.fixture()
-def chain_routing(cube3):
-    timing = TFGTiming(chain_tfg(4, 400, 1280), 128.0, speeds=40.0)
-    allocation = {"t0": 0, "t1": 1, "t2": 3, "t3": 7}
-    routing = compile_schedule(timing, cube3, allocation, tau_in=40.0)
-    return routing, timing, cube3, allocation
 
 
 class TestAbsoluteSlots:

@@ -74,15 +74,18 @@ class TestPipelineComparison:
                 assert point.sr_fail_stage is not None
                 assert "infeasible" in point.sr_status
 
-    def test_verify_sr_false_uses_analytic_result(self, small_setup):
+    def test_replayed_sr_latency_is_windowed_asap(self, small_setup):
+        """Every feasible point is replayed, and the replay measures the
+        analytic SR latency: the windowed ASAP latency over Lambda."""
         points = pipeline_comparison(
-            small_setup, [1.0], invocations=14, warmup=2, verify_sr=False,
+            small_setup, [1.0], invocations=14, warmup=2,
             compiler_config=CompilerConfig(max_paths=12, max_restarts=1),
         )
         point = points[0]
-        if point.sr_feasible:
-            expected = (
-                small_setup.timing.asap_latency()
-                / small_setup.timing.critical_path().length
-            )
-            assert point.sr_latency == pytest.approx(expected)
+        assert point.sr_feasible
+        expected = (
+            small_setup.timing.asap_latency()
+            / small_setup.timing.critical_path().length
+        )
+        assert point.sr_latency == pytest.approx(expected)
+        assert point.sr_throughput == pytest.approx(1.0)

@@ -26,7 +26,6 @@ class TestDeadlockPath:
             compiler_config=CompilerConfig(max_paths=8, max_restarts=1,
                                            retries=0),
             wr_max_recoveries=0,
-            verify_sr=False,
         )
         point = points[0]
         assert point.wr_deadlock
@@ -47,7 +46,6 @@ class TestDeadlockPath:
             setup, [0.5], invocations=14, warmup=2,
             compiler_config=CompilerConfig(max_paths=8, max_restarts=1,
                                            retries=0),
-            verify_sr=False,
         )
         point = points[0]
         assert not point.wr_deadlock
