@@ -30,7 +30,6 @@ from repro.cache.artifacts import (
     artifact_key,
     bounds_content,
     pools_content,
-    warm_scope_key,
 )
 from repro.cache.keys import (
     CACHE_VERSION,
@@ -76,5 +75,4 @@ __all__ = [
     "pools_content",
     "routing_to_entry",
     "schedule_cache_key",
-    "warm_scope_key",
 ]

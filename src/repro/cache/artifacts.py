@@ -64,7 +64,6 @@ __all__ = [
     "artifact_key",
     "bounds_content",
     "pools_content",
-    "warm_scope_key",
 ]
 
 #: Artifact stage names (also the ``CacheStats.stages`` counter keys).
@@ -128,37 +127,6 @@ def pools_content(
     return [
         [name, [list(path) for path in pool]] for name, pool in pools.items()
     ]
-
-
-def warm_scope_key(
-    timing: "TFGTiming",
-    topology: "Topology",
-    allocation: Mapping[str, int],
-    backend_name: str,
-) -> str:
-    """The warm-start basis scope of one structural problem family.
-
-    Deliberately **excludes** message sizes, task speeds, bandwidth and
-    the period: LP *structure* (which variables and constraints exist)
-    follows from the task/message/topology/allocation skeleton, so
-    matrix cells differing only in load — and delta recompiles of
-    size-perturbed instances — share one basis pool.  Safety does not
-    rest on this key: the backend re-checks the per-problem structure
-    signature before applying any cached basis, and warm-started HiGHS
-    solves are byte-identical to cold ones (PR 7 property tests).
-    """
-    tfg = timing.tfg
-    return _digest(
-        {
-            "version": CACHE_VERSION,
-            "scope": "warm-start",
-            "tasks": [task.name for task in tfg.tasks],
-            "messages": [[m.name, m.src, m.dst] for m in tfg.messages],
-            "topology": canonical_topology(topology),
-            "allocation": canonical_allocation(allocation),
-            "backend": backend_name,
-        }
-    )
 
 
 def _assignment_content(assignment: "PathAssignment") -> list[list[Any]]:
@@ -291,9 +259,7 @@ class DeltaState:
         between them) consume: the interval lengths, and per member its
         duration, activity row and path links.  The resolved backend
         name is included (different solvers may legitimately pick
-        different optima); the perf-only ``lp_batch``/``lp_warm_start``
-        knobs are not (batched and warm-started solves are
-        byte-identical).  ``index`` pins the error metadata
+        different optima).  ``index`` pins the error metadata
         (``subset_index``) of negative artifacts.
         """
         messages = []

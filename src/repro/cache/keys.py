@@ -37,16 +37,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.base import Topology
 
 #: Version stamp baked into every key and every stored entry.
-#: ``/2``: perf-only solver knobs (``lp_batch``/``lp_warm_start``) are
-#: now elided from :func:`canonical_config` unconditionally — entries
-#: written under ``/1`` keys (which hashed non-default knob values)
-#: would otherwise shadow or miss the unified key space.
+#: ``/2``: perf-only solver knobs (the since-removed batching and
+#: warm-start switches) were elided from :func:`canonical_config`
+#: unconditionally — entries written under ``/1`` keys (which hashed
+#: non-default knob values) would otherwise shadow or miss the unified
+#: key space.
 CACHE_VERSION = "repro.cache/2"
 
 #: ``CompilerConfig`` fields that change solver wall time but provably
-#: not the compiled schedule (pinned by the PR 7 property tests) —
-#: always elided from cache keys.
-PERF_ONLY_CONFIG_FIELDS = ("lp_batch", "lp_warm_start")
+#: not the compiled schedule — always elided from cache keys.  Empty
+#: today: the ledger and its checks stay so a future perf-only knob
+#: still needs an explicit hash-or-elide decision.
+PERF_ONLY_CONFIG_FIELDS: tuple[str, ...] = ()
 
 #: ``CompilerConfig`` fields that are part of cache identity.  Together
 #: with :data:`PERF_ONLY_CONFIG_FIELDS` this is the complete decision
@@ -124,13 +126,11 @@ def canonical_config(config: "CompilerConfig") -> dict[str, Any]:
 
     Solver *performance* knobs (:data:`PERF_ONLY_CONFIG_FIELDS`) are
     elided **unconditionally**: they change how fast the LPs are
-    solved, not which schedule comes out (batched and warm-started
-    solves are byte-identical to sequential cold ones — pinned by the
-    PR 7 property tests), so all four knob combinations must hash to
-    the same key.  Eliding only default values — the pre-``/2``
-    behaviour — fragmented the key space: a sweep run with
-    ``lp_batch=False`` could not reuse entries a default-config run had
-    already compiled, despite producing byte-identical schedules.
+    solved, not which schedule comes out, so every knob value must hash
+    to the same key.  Eliding only default values — the pre-``/2``
+    behaviour — fragmented the key space: a run with a non-default
+    perf knob could not reuse entries a default-config run had already
+    compiled, despite producing byte-identical schedules.
     """
     from repro.solvers import default_backend_name
 

@@ -34,6 +34,7 @@ from repro.mapping.allocation import (
 )
 from repro.metrics import load_sweep
 from repro.report import format_spike, format_table
+from repro.solvers import BACKEND_NAMES
 from repro.tfg import dvb_tfg
 from repro.topology import (
     STANDARD_TOPOLOGIES as TOPOLOGIES,
@@ -619,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_comp.add_argument(
         "--lp-backend",
-        choices=("auto", "highs", "highs-ds", "ilp", "reference"),
+        choices=BACKEND_NAMES,
         default="auto",
         help="LP solver backend for both LP stages",
     )
@@ -654,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_matrix.add_argument(
         "--lp-backend",
-        choices=("auto", "highs", "highs-ds", "ilp", "reference"),
+        choices=BACKEND_NAMES,
         default="auto",
         help="LP solver backend for both LP stages",
     )
@@ -697,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_diag.add_argument(
         "--lp-backend",
-        choices=("auto", "highs", "highs-ds", "ilp", "reference"),
+        choices=BACKEND_NAMES,
         default="auto",
         help="LP solver backend used by --deep",
     )

@@ -83,26 +83,10 @@ class CompilerConfig:
         Name of the LP solver backend both LP stages use (see
         :func:`repro.solvers.get_backend`): ``"auto"`` (default —
         scipy's HiGHS when available, the pure-Python reference simplex
-        otherwise), ``"highs"``, ``"highs-ds"``, ``"ilp"`` (HiGHS LPs
-        plus exact MILP capabilities, see
-        :mod:`repro.solvers.ilp_backend`) or ``"reference"``.
-    lp_batch:
-        When True (default), the independent per-interval packing LPs
-        of interval scheduling are solved through the backend's
-        ``solve_batch`` — one block-diagonal HiGHS solve per
-        column-generation round instead of one solve per interval.
-        Verdicts and generated columns are identical either way; this
-        only changes solver wall time.  Perf-only: never part of cache
-        keys.
-    lp_warm_start:
-        When True, the backend caches optimal bases by problem
-        structure and warm-starts structurally identical solves —
-        within one compilation, and (when a cache is attached) across
-        compilations of the same structural family via the
-        :func:`~repro.cache.warm_scope_key` basis registry, so delta
-        recompiles and matrix cells differing only in load start their
-        LPs from the prior basis.  Off by default; perf-only: never
-        part of cache keys.
+        otherwise), ``"highs"`` or ``"reference"``.  The independent
+        per-interval packing LPs of interval scheduling always go
+        through the backend's ``solve_batch`` (one block-diagonal HiGHS
+        solve per column-generation round).
     prescreen:
         When True, run the static instance diagnoser
         (:mod:`repro.diagnose`) before any path assignment or LP work
@@ -123,8 +107,6 @@ class CompilerConfig:
     sync_margin: float = 0.0
     lp_backend: str = "auto"
     prescreen: bool = False
-    lp_batch: bool = True
-    lp_warm_start: bool = False
 
 
 @dataclass
@@ -194,9 +176,8 @@ def compile_schedule(
 
     key = None
     delta = None
-    warm_scope = None
     if cache is not None:
-        from repro.cache import DeltaState, schedule_cache_key, warm_scope_key
+        from repro.cache import DeltaState, schedule_cache_key
 
         key = schedule_cache_key(timing, topology, allocation, tau_in, config)
         hit = cache.fetch(key, topology=topology)
@@ -205,19 +186,8 @@ def compile_schedule(
         # Monolithic miss: compile with per-stage artifact reuse, so a
         # near-identical instance resumes mid-pipeline instead of cold.
         delta = DeltaState(cache, timing, topology, allocation, tau_in, config)
-        if config.lp_warm_start:
-            # Scope warm-start bases to the structural problem family
-            # (sizes excluded), so delta recompiles and matrix cells
-            # differing only in load share one basis pool.
-            warm_scope = warm_scope_key(
-                timing, topology, allocation, delta.backend_name
-            )
 
-    backend = get_backend(
-        config.lp_backend,
-        warm_start=config.lp_warm_start,
-        warm_scope=warm_scope,
-    )
+    backend = get_backend(config.lp_backend)
     context = CompilationContext(
         tau_in=tau_in,
         config=config,
@@ -281,9 +251,7 @@ def schedule_from_assignment(
     """
     profiler = profiler if profiler is not None else NULL_PROFILER
     if backend is None:
-        backend = get_backend(
-            config.lp_backend, warm_start=config.lp_warm_start
-        )
+        backend = get_backend(config.lp_backend)
     context = CompilationContext(
         tau_in=tau_in,
         config=config,
@@ -322,7 +290,6 @@ def _package(context: CompilationContext) -> ScheduledRouting:
             "lp_failures": tally.failures,
             "lp_batches": tally.batches,
             "lp_batched_solves": tally.batched_solves,
-            "lp_warm_started": tally.warm_started,
             "max_variables": tally.max_variables,
             "max_constraints": tally.max_constraints,
         }

@@ -457,7 +457,6 @@ class IntervalStage:
                     interval_allocation,
                     context.bounds.intervals.lengths,
                     backend=context.backend,
-                    batch=context.config.lp_batch,
                 )
                 return interval_allocation, schedules
             except IntervalSchedulingError as error:

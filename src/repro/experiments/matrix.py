@@ -26,7 +26,6 @@ from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.pipeline import (
     CHECK_FLAGGED,
     OK,
-    STAGE_VERDICT_CODES,
     STATICALLY_REFUTED,
     verdict_code,
 )
@@ -35,10 +34,6 @@ from repro.experiments.setup import standard_setup
 from repro.pool import GracefulPool
 from repro.tfg.graph import TaskFlowGraph
 from repro.topology.base import Topology
-
-#: Back-compat alias — the verdict codes live with the stage pipeline.
-STAGE_CODES = STAGE_VERDICT_CODES
-
 
 @dataclass(frozen=True)
 class MatrixRow:

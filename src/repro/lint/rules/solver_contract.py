@@ -4,9 +4,10 @@ PR 7 rebuilt the LP hot path on batched *sparse* solves: the modules in
 :data:`HOT_PATH_MODULES` must never materialize a dense constraint
 matrix (``to_dense``/``toarray`` exist only for the dense reference
 backends and certificate checkers), and :class:`repro.solvers.base\
-.LPSolution` arrays are read-only views shared across warm-start
-reuse — mutating one in place corrupts every later consumer of the
-cached solution.
+.LPSolution` arrays are read-only values: a stitched batch solve hands
+each block a view into one shared solver buffer, and one solution may
+be read by several consumers — mutating one in place silently changes
+what every other holder sees.
 
 Findings:
 
@@ -177,7 +178,7 @@ class SolverContractRule(LintRule):
                     base,
                     f"assignment to {shape} mutates an LPSolution in a "
                     "hot-path module (solver-mutation); solutions are "
-                    "shared read-only across warm starts",
+                    "read-only values shared between consumers",
                 )
             elif (
                 isinstance(target, ast.Attribute)

@@ -31,6 +31,7 @@ from typing import Any, Mapping
 
 from repro.core.compiler import CompilerConfig
 from repro.errors import ReproError
+from repro.solvers import BACKEND_NAMES
 from repro.topology import topology_names
 from repro.topology.registry import STANDARD_TOPOLOGIES, TOPOLOGY_ALIASES
 
@@ -64,6 +65,19 @@ KINDS = ("compile", "diagnose", "check")
 #: Task-placement strategies a request may name (mirrors the CLI).
 ALLOCATORS = ("sequential", "bfs", "random", "annealed")
 
+
+def _lp_backend(value: Any) -> str:
+    """Coerce an ``lp_backend`` override, rejecting unknown names here
+    rather than in the worker (where they would fail the job)."""
+    name = str(value)
+    if name not in BACKEND_NAMES:
+        raise BadRequest(
+            f"unknown lp_backend {name!r}; expected one of "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
+    return name
+
+
 #: CompilerConfig fields a request may override, with coercers.
 _CONFIG_FIELDS: dict[str, Any] = {
     "seed": int,
@@ -73,7 +87,7 @@ _CONFIG_FIELDS: dict[str, Any] = {
     "retries": int,
     "feedback_rounds": int,
     "sync_margin": float,
-    "lp_backend": str,
+    "lp_backend": _lp_backend,
     "prescreen": bool,
 }
 

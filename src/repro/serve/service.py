@@ -506,8 +506,6 @@ class CompileService:
         }
         if self.cache_dir is not None:
             payload["cache_dir"] = str(self.cache_dir)
-        if self.cache is not None:
-            payload["cache_migrated_entries"] = self.cache.migrated_entries
         return payload
 
     def _trace(self, name: str, job: Job, **args: Any) -> None:

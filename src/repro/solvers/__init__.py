@@ -12,12 +12,8 @@ Problems are assembled sparsely through
 :class:`~repro.solvers.base.LPProblemBuilder` (COO triplets, CSR
 storage); backends additionally expose ``solve_batch`` (independent
 problems stitched into one block-diagonal solve where the backend
-supports it) and warm starts (``solution.warm_start`` handles, or
-``get_backend(name, warm_start=True)`` for automatic basis reuse across
-structurally identical problems; add ``warm_scope=<key>`` to share one
-basis pool across backend instances of the same structural problem
-family).  Dense matrix fields on ``solve()`` were removed after their
-one-release deprecation window; build problems through
+supports it).  Dense matrix fields on ``solve()`` were removed after
+their one-release deprecation window; build problems through
 :class:`~repro.solvers.base.LPProblemBuilder` or
 :meth:`~repro.solvers.base.LPProblem.from_dense`.
 
@@ -30,13 +26,6 @@ Backend names
 ``highs``
     :class:`~repro.solvers.scipy_backend.ScipyLinprogBackend` with
     scipy's automatic HiGHS choice — the fast path.
-``highs-ds``
-    Same backend forced to the HiGHS dual simplex.
-``ilp``
-    :class:`~repro.solvers.ilp_backend.IlpBackend` — HiGHS for the LP
-    stages (byte-identical schedules) plus exact mixed-integer solves
-    (``solve_integer``) used by the AssignPaths optimality-gap
-    reference.  Requires scipy ≥ 1.9 (``scipy.optimize.milp``).
 ``reference``
     :class:`~repro.solvers.reference.ReferenceSimplexBackend` — a
     deterministic numpy-only two-phase simplex for environments without
@@ -45,6 +34,11 @@ Backend names
 ``get_backend`` returns a **fresh instance** each call; a backend's
 :class:`~repro.solvers.base.SolverTally` therefore covers exactly one
 compilation (the stages snapshot it per profiler stage).
+
+Exact mixed-integer solves (the AssignPaths optimality-gap reference)
+are not a backend: they are the plain functions
+:func:`~repro.solvers.ilp_backend.solve_integer` and
+:func:`~repro.solvers.ilp_backend.assignment_gap`.
 """
 
 from __future__ import annotations
@@ -60,7 +54,6 @@ from repro.solvers.base import (
     LPSolution,
     SolverTally,
     TalliedBackend,
-    WarmStart,
     exceeds_tolerance,
 )
 from repro.solvers.certificates import (
@@ -68,7 +61,7 @@ from repro.solvers.certificates import (
     infeasibility_certificate,
 )
 from repro.solvers.reference import ReferenceSimplexBackend
-from repro.solvers.scipy_backend import SCIPY_METHODS, ScipyLinprogBackend
+from repro.solvers.scipy_backend import ScipyLinprogBackend
 
 __all__ = [
     "CSRMatrix",
@@ -79,13 +72,10 @@ __all__ = [
     "LPProblemBuilder",
     "LPSolution",
     "ReferenceSimplexBackend",
-    "SCIPY_METHODS",
     "ScipyLinprogBackend",
     "SolverTally",
     "TalliedBackend",
-    "WarmStart",
     "available_backends",
-    "clear_warm_scopes",
     "default_backend_name",
     "exceeds_tolerance",
     "get_backend",
@@ -94,15 +84,7 @@ __all__ = [
 ]
 
 #: Names accepted by :func:`get_backend`.
-BACKEND_NAMES = ("auto", "highs", "highs-ds", "ilp", "reference")
-
-#: Shared warm-start basis pools, keyed by scope string (see
-#: :func:`repro.cache.warm_scope_key`).  ``get_backend`` hands every
-#: backend instance created under one scope the same dict, so optimal
-#: bases survive across the otherwise per-compilation backend lifetime.
-#: Bases are small (two int arrays per problem structure) and scopes are
-#: per structural family, so the registry stays bounded in practice.
-_WARM_SCOPES: dict[str, dict[tuple[int, int, int], WarmStart]] = {}
+BACKEND_NAMES = ("auto", "highs", "reference")
 
 
 def have_scipy() -> bool:
@@ -118,51 +100,16 @@ def default_backend_name() -> str:
 def available_backends() -> tuple[str, ...]:
     """Concrete backend names usable in this environment."""
     if have_scipy():
-        return ("highs", "highs-ds", "ilp", "reference")
+        return ("highs", "reference")
     return ("reference",)
 
 
-def clear_warm_scopes() -> None:
-    """Drop every shared warm-start basis pool (tests, memory pressure)."""
-    _WARM_SCOPES.clear()
-
-
-def get_backend(
-    name: str = "auto",
-    warm_start: bool = False,
-    warm_scope: str | None = None,
-) -> LPBackend:
-    """Instantiate the named LP backend (see module docstring).
-
-    ``warm_start=True`` asks the backend to cache optimal bases keyed by
-    problem structure and reuse them for structurally identical solves
-    (HiGHS backends only; the reference simplex ignores it).
-
-    ``warm_scope`` (implies nothing without ``warm_start=True``) names a
-    shared basis pool: every backend created under the same scope string
-    reuses one cache, so bases survive the per-compilation backend
-    lifetime — the cross-cell/delta reuse the compiler keys off
-    :func:`repro.cache.warm_scope_key`.  Warm-started HiGHS solves are
-    byte-identical to cold ones (pinned by property tests), so scoping
-    never changes results, only wall time.
-    """
+def get_backend(name: str = "auto") -> LPBackend:
+    """Instantiate the named LP backend (see module docstring)."""
     if name == "auto":
         name = default_backend_name()
-    basis_cache = None
-    if warm_start and warm_scope is not None:
-        basis_cache = _WARM_SCOPES.setdefault(warm_scope, {})
-    if name in SCIPY_METHODS:
-        return ScipyLinprogBackend(
-            method=name,
-            warm_start_reuse=warm_start,
-            basis_cache=basis_cache,
-        )
-    if name == "ilp":
-        from repro.solvers.ilp_backend import IlpBackend
-
-        return IlpBackend(
-            warm_start_reuse=warm_start, basis_cache=basis_cache
-        )
+    if name == "highs":
+        return ScipyLinprogBackend()
     if name == "reference":
         return ReferenceSimplexBackend()
     raise ValueError(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -176,81 +175,23 @@ class TestDeltaCompile:
         assert routing.schedule is not None
 
 
-class TestWarmStartScope:
-    def test_scoped_backends_share_one_basis_pool(self):
-        from repro.solvers import clear_warm_scopes, get_backend
-
-        pytest.importorskip("scipy")
-        clear_warm_scopes()
-        try:
-            a = get_backend("highs", warm_start=True, warm_scope="s1")
-            b = get_backend("highs", warm_start=True, warm_scope="s1")
-            other = get_backend("highs", warm_start=True, warm_scope="s2")
-            unscoped = get_backend("highs", warm_start=True)
-            assert a._basis_cache is b._basis_cache
-            assert other._basis_cache is not a._basis_cache
-            assert unscoped._basis_cache is not a._basis_cache
-        finally:
-            clear_warm_scopes()
-
-    def test_warm_scope_key_ignores_sizes(self, cube3):
-        from repro.cache import warm_scope_key
-
-        setup = diamond_setup(cube3)
-        resized = diamond_setup(cube3, b_size=640.0)
-        assert warm_scope_key(
-            setup.timing, setup.topology, setup.allocation, "highs"
-        ) == warm_scope_key(
-            resized.timing, resized.topology, resized.allocation, "highs"
-        )
-        assert warm_scope_key(
-            setup.timing, setup.topology, setup.allocation, "highs"
-        ) != warm_scope_key(
-            setup.timing, setup.topology, setup.allocation, "reference"
-        )
-
-    def test_warm_delta_identical_to_cold(self, cube3, tmp_path):
-        pytest.importorskip("scipy")
-        from repro.solvers import clear_warm_scopes
-
-        clear_warm_scopes()
-        try:
-            warm_config = dataclasses.replace(CONFIG, lp_warm_start=True)
-            setup = diamond_setup(cube3)
-            compile_with(
-                setup, ScheduleCache(tmp_path), config=warm_config
-            )
-            perturbed = diamond_setup(cube3, b_size=640.0)
-            delta = compile_with(
-                perturbed, ScheduleCache(tmp_path), config=warm_config
-            )
-            cold = compile_with(
-                perturbed, ScheduleCache(tmp_path / "cold"), config=CONFIG
-            )
-            assert stripped_entry(delta) == stripped_entry(cold)
-        finally:
-            clear_warm_scopes()
-
-
 class TestPerfKnobKeyIdentity:
-    def test_all_perf_knob_combos_share_one_key(self, cube3):
-        # Regression: lp_batch/lp_warm_start once fragmented the key
-        # space into four identities for byte-identical outputs.
+    def test_key_unchanged_by_knob_removal(self, cube3):
+        # The literal key of this instance before the perf-only solver
+        # knobs were deleted: the knobs were never hashed, so dropping
+        # them from CompilerConfig must not move any cache key.
+        pytest.importorskip("scipy")
         setup = diamond_setup(cube3)
-        keys = {
-            schedule_cache_key(
-                setup.timing,
-                setup.topology,
-                setup.allocation,
-                setup.tau_in_for_load(0.5),
-                dataclasses.replace(
-                    CONFIG, lp_batch=batch, lp_warm_start=warm
-                ),
-            )
-            for batch in (False, True)
-            for warm in (False, True)
-        }
-        assert len(keys) == 1
+        key = schedule_cache_key(
+            setup.timing,
+            setup.topology,
+            setup.allocation,
+            setup.tau_in_for_load(0.5),
+            CONFIG,
+        )
+        assert key == (
+            "1ddef24f04bb6dc6abbdcafc6751db6f15998fed882eb9a08ba8082e07d14da2"
+        )
 
     def test_cache_version_bumped(self):
         assert CACHE_VERSION == "repro.cache/2"

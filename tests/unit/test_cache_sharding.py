@@ -1,34 +1,16 @@
-"""Shard layout, flat-entry migration, and multi-process cache stats."""
+"""Shard layout and multi-process cache stats."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 
-import pytest
-
-from repro.cache import (
-    CACHE_VERSION,
-    CacheStats,
-    ScheduleCache,
-    persist_cache_stats,
-)
-from repro.errors import SchedulingError, UtilizationExceededError
+from repro.cache import CacheStats, ScheduleCache, persist_cache_stats
+from repro.errors import UtilizationExceededError
 
 
 def _key(tag: str) -> str:
     return hashlib.sha256(tag.encode()).hexdigest()
-
-
-def _failure_entry(message: str) -> dict:
-    return {
-        "format": CACHE_VERSION,
-        "kind": "failure",
-        "type": "UtilizationExceededError",
-        "stage": "utilization",
-        "message": message,
-        "args": {"peak": 1.5, "witness": "link (0, 1)"},
-    }
 
 
 def test_disk_entries_are_sharded_by_key_prefix(tmp_path):
@@ -37,35 +19,6 @@ def test_disk_entries_are_sharded_by_key_prefix(tmp_path):
     cache.store_failure(key, UtilizationExceededError(1.5))
     assert (tmp_path / key[:2] / f"{key}.json").is_file()
     assert not (tmp_path / f"{key}.json").exists()
-
-
-def test_flat_layout_migrates_on_open(tmp_path):
-    """Pre-shard entries move into shard dirs and stay fetchable."""
-    keys = [_key(f"legacy-{i}") for i in range(4)]
-    for key in keys:
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps(_failure_entry(f"legacy {key[:6]}"))
-        )
-    # Non-key files must be left alone.
-    (tmp_path / "cache-stats.json").write_text("{}")
-    (tmp_path / "notes.json").write_text("{}")
-
-    cache = ScheduleCache(tmp_path)
-    assert cache.migrated_entries == 4
-    for key in keys:
-        assert (tmp_path / key[:2] / f"{key}.json").is_file()
-        assert not (tmp_path / f"{key}.json").exists()
-        with pytest.raises(SchedulingError):
-            cache.fetch(key)
-    assert (tmp_path / "cache-stats.json").exists()
-    assert (tmp_path / "notes.json").exists()
-
-
-def test_migration_is_idempotent(tmp_path):
-    key = _key("once")
-    (tmp_path / f"{key}.json").write_text(json.dumps(_failure_entry("x")))
-    assert ScheduleCache(tmp_path).migrated_entries == 1
-    assert ScheduleCache(tmp_path).migrated_entries == 0
 
 
 def test_stats_snapshot_since_merge():

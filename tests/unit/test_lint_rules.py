@@ -157,13 +157,11 @@ class TestCacheKeyLedgers:
         # The static rule and the runtime guard watch the same ledger;
         # the guard only fires if the dataclass and ledger drift, which
         # the partition tests above rule out for the real code.
-        from repro.cache.keys import canonical_config
+        from repro.cache.keys import HASHED_CONFIG_FIELDS, canonical_config
         from repro.core.compiler import CompilerConfig
 
         fields = canonical_config(CompilerConfig())
-        assert "lp_batch" not in fields
-        assert "lp_warm_start" not in fields
-        assert "seed" in fields
+        assert set(fields) == set(HASHED_CONFIG_FIELDS)
 
     def test_rule_skips_partial_projects(self):
         # Linting a subtree without the compiler module yields nothing.

@@ -76,14 +76,25 @@ def test_from_payload_requires_load():
 
 def test_config_overrides_sorted_and_applied():
     request = JobRequest.from_payload(
-        {**GOOD, "seed": 7, "config": {"max_paths": 3, "lp_backend": "dense"}}
+        {
+            **GOOD,
+            "seed": 7,
+            "config": {"max_paths": 3, "lp_backend": "reference"},
+        }
     )
     # Pairs are key-sorted so the signature is order-independent.
-    assert request.config == (("lp_backend", "dense"), ("max_paths", 3))
+    assert request.config == (("lp_backend", "reference"), ("max_paths", 3))
     config = request.compiler_config()
     assert config.seed == 7
     assert config.max_paths == 3
-    assert config.lp_backend == "dense"
+    assert config.lp_backend == "reference"
+
+
+@pytest.mark.parametrize("name", ["nonsense", "ilp"])
+def test_unknown_lp_backend_is_a_bad_request(name):
+    # Rejected at admission, not by the worker after dispatch.
+    with pytest.raises(BadRequest, match="unknown lp_backend"):
+        JobRequest.from_payload({**GOOD, "config": {"lp_backend": name}})
 
 
 def test_canonical_round_trip_preserves_identity():

@@ -96,9 +96,7 @@ ZOO = {
 
 class TestRegistry:
     def test_backend_names_cover_registry(self):
-        assert set(BACKEND_NAMES) == {
-            "auto", "highs", "highs-ds", "ilp", "reference"
-        }
+        assert set(BACKEND_NAMES) == {"auto", "highs", "reference"}
 
     def test_reference_always_available(self):
         assert "reference" in available_backends()
@@ -117,7 +115,6 @@ class TestRegistry:
     @scipy_required
     def test_scipy_methods_resolve(self):
         assert get_backend("highs").name == "highs"
-        assert get_backend("highs-ds").name == "highs-ds"
         assert default_backend_name() == "highs"
 
 
@@ -164,7 +161,7 @@ class TestReferenceBackend:
     def test_objectives_match_scipy(self, case):
         build, _ = ZOO[case]
         ours = ReferenceSimplexBackend().solve(build())
-        scipys = ScipyLinprogBackend("highs").solve(build())
+        scipys = ScipyLinprogBackend().solve(build())
         assert ours.success and scipys.success
         assert ours.objective == pytest.approx(scipys.objective, abs=1e-7)
 
@@ -172,7 +169,7 @@ class TestReferenceBackend:
     def test_verdicts_match_scipy_on_pathologies(self):
         for build in (lp_infeasible, lp_unbounded):
             ours = ReferenceSimplexBackend().solve(build())
-            scipys = ScipyLinprogBackend("highs").solve(build())
+            scipys = ScipyLinprogBackend().solve(build())
             assert ours.success == scipys.success is False
 
 
@@ -322,25 +319,6 @@ class TestSparseAPI:
         backend.solve_batch([lp_transport(), _builder_mixed()])
         assert backend.tally.batches == 1
         assert backend.tally.batched_solves == 2
-
-    @scipy_required
-    def test_warm_start_reuses_basis(self):
-        backend = get_backend("highs", warm_start=True)
-        first = backend.solve(lp_mixed())
-        assert first.success
-        again = backend.solve(lp_mixed())
-        assert again.success
-        assert backend.tally.warm_started == 1
-        assert again.objective == pytest.approx(first.objective, abs=1e-12)
-
-    @scipy_required
-    def test_explicit_warm_start_handle(self):
-        backend = get_backend("highs")
-        first = backend.solve(lp_mixed())
-        assert first.warm_start is not None
-        again = backend.solve(lp_mixed(), warm_start=first.warm_start)
-        assert again.success
-        assert backend.tally.warm_started == 1
 
 
 # -- the shared tolerance band (satellite: magic 1.0000001 removal) ------------
